@@ -209,17 +209,24 @@ impl FusionTally {
 /// traffic to whichever run observes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheTally {
-    /// Shared program cache: snapshot probes that found a live entry.
+    /// Shared program cache: lookups that found the program's slot
+    /// resident (one lookup per program an instance prepares).
     pub program_hits: u64,
-    /// Shared program cache: probes that fell through to the slow path.
+    /// Shared program cache: lookups that inserted a fresh slot (first
+    /// use, or after eviction).
     pub program_misses: u64,
     /// Shared program cache: entries dropped by LRU bounding.
     pub program_evictions: u64,
     /// Shared program cache: programs actually compiled.
     pub program_compiles: u64,
-    /// Native code cache: probes that found live code.
+    /// Native code cache: lookups that found the kernel's slot
+    /// resident. A fused kernel looks up its code once per `Program`
+    /// value, on its first native run, and keeps it; later runs do not
+    /// count. So hits come only from a program cloned before that run,
+    /// and a warm re-run of a session counts no lookups at all.
     pub code_hits: u64,
-    /// Native code cache: probes that missed.
+    /// Native code cache: lookups that inserted a fresh slot, i.e. the
+    /// first native run of a kernel (or its first after an eviction).
     pub code_misses: u64,
     /// Native code cache: blobs dropped by LRU bounding.
     pub code_evictions: u64,

@@ -12,7 +12,7 @@
 //! reversed BFS checking upstream writes against the cutout's read subsets.
 
 use fuzzyflow_graph::{reachable_from, reverse_reachable_from, NodeId};
-use fuzzyflow_ir::analysis::{graph_access_sets, node_access_sets, AccessSets};
+use fuzzyflow_ir::analysis::{graph_access_sets_of, node_access_sets_of, Access, AccessSets};
 use fuzzyflow_ir::{Sdfg, StateId, SymBounds};
 
 /// Context for subset-overlap decisions: bounds for size symbols etc.
@@ -44,43 +44,24 @@ pub enum CutoutLocation {
     States(Vec<StateId>),
 }
 
-/// True if `reads` contains a read of `data` overlapping `write_subset`.
-fn any_overlapping_read(
-    sets: &AccessSets,
-    cutout_writes: &AccessSets,
+/// Adds to `found` every container that one of `accesses` touches at a
+/// subset that may overlap one of the cutout's accesses to it (from
+/// `cutout`). Containers already in `found` are not checked again.
+fn add_overlapping(
+    found: &mut Vec<String>,
+    accesses: &[Access],
+    cutout: &[Access],
     ctx: &SideEffectContext,
-) -> Vec<String> {
-    let mut hits = Vec::new();
-    for r in &sets.reads {
-        for w in &cutout_writes.writes {
-            if r.data == w.data
-                && r.subset.overlaps(&w.subset, &ctx.bounds).may()
-                && !hits.contains(&r.data)
-            {
-                hits.push(r.data.clone());
-            }
+) {
+    for a in accesses {
+        if !found.contains(&a.data)
+            && cutout
+                .iter()
+                .any(|c| c.data == a.data && a.subset.overlaps(&c.subset, &ctx.bounds).may())
+        {
+            found.push(a.data.clone());
         }
     }
-    hits
-}
-
-fn any_overlapping_write(
-    sets: &AccessSets,
-    cutout_reads: &AccessSets,
-    ctx: &SideEffectContext,
-) -> Vec<String> {
-    let mut hits = Vec::new();
-    for w in &sets.writes {
-        for r in &cutout_reads.reads {
-            if w.data == r.data
-                && w.subset.overlaps(&r.subset, &ctx.bounds).may()
-                && !hits.contains(&w.data)
-            {
-                hits.push(w.data.clone());
-            }
-        }
-    }
-    hits
 }
 
 /// States reachable from `starts` following inter-state edges (exclusive
@@ -119,26 +100,20 @@ pub fn system_state(
     location: &CutoutLocation,
     ctx: &SideEffectContext,
 ) -> Vec<String> {
-    let mut state_set: Vec<String> = Vec::new();
-
     // External data analysis: every write to a non-transient container is
     // observable after the program exits.
-    for w in cutout_sets.written_containers() {
-        let external = sdfg.array(&w).map(|d| !d.transient).unwrap_or(true);
-        if external && !state_set.contains(&w) {
-            state_set.push(w);
-        }
-    }
+    let (mut state_set, open): (Vec<String>, Vec<String>) = cutout_sets
+        .written_containers()
+        .into_iter()
+        .partition(|w| sdfg.array(w).map(|d| !d.transient).unwrap_or(true));
 
     // Program flow analysis: BFS from the cutout looking for overlapping
-    // reads.
-    let mut scan = |sets: &AccessSets| {
-        for hit in any_overlapping_read(sets, cutout_sets, ctx) {
-            if !state_set.contains(&hit) {
-                state_set.push(hit);
-            }
-        }
-    };
+    // reads. Only reads of the written containers the external analysis
+    // left open can add anything, so the access sets are built for those
+    // alone.
+    let keep = |name: &str| open.iter().any(|w| w == name);
+    let mut scan =
+        |sets: AccessSets| add_overlapping(&mut state_set, &sets.reads, &cutout_sets.writes, ctx);
 
     match location {
         CutoutLocation::Nodes { state, nodes } => {
@@ -149,16 +124,16 @@ pub fn system_state(
                 if nodes.contains(&n) {
                     continue;
                 }
-                scan(&node_access_sets(df, n));
+                scan(node_access_sets_of(df, n, &keep));
             }
             // Downstream states (and the own state again, if on a cycle).
             let reach = reachable_states(sdfg, &[*state]);
             for s in reach {
                 if s == *state {
                     // Loop around: every read in the state may re-execute.
-                    scan(&graph_access_sets(df));
+                    scan(graph_access_sets_of(df, &keep));
                 } else {
-                    scan(&graph_access_sets(&sdfg.state(s).df));
+                    scan(graph_access_sets_of(&sdfg.state(s).df, &keep));
                 }
             }
         }
@@ -168,7 +143,7 @@ pub fn system_state(
                 if states.contains(&s) {
                     continue;
                 }
-                scan(&graph_access_sets(&sdfg.state(s).df));
+                scan(graph_access_sets_of(&sdfg.state(s).df, &keep));
             }
         }
     }
@@ -185,24 +160,18 @@ pub fn input_configuration(
     location: &CutoutLocation,
     ctx: &SideEffectContext,
 ) -> Vec<String> {
-    let mut inputs: Vec<String> = Vec::new();
-
     // External data analysis: non-transient containers may carry data from
     // outside the program.
-    for r in cutout_sets.read_containers() {
-        let external = sdfg.array(&r).map(|d| !d.transient).unwrap_or(true);
-        if external && !inputs.contains(&r) {
-            inputs.push(r);
-        }
-    }
+    let (mut inputs, open): (Vec<String>, Vec<String>) = cutout_sets
+        .read_containers()
+        .into_iter()
+        .partition(|r| sdfg.array(r).map(|d| !d.transient).unwrap_or(true));
 
-    let mut scan = |sets: &AccessSets| {
-        for hit in any_overlapping_write(sets, cutout_sets, ctx) {
-            if !inputs.contains(&hit) {
-                inputs.push(hit);
-            }
-        }
-    };
+    // Program flow analysis: only writes of the read containers the
+    // external analysis left open can add anything.
+    let keep = |name: &str| open.iter().any(|r| r == name);
+    let mut scan =
+        |sets: AccessSets| add_overlapping(&mut inputs, &sets.writes, &cutout_sets.reads, ctx);
 
     match location {
         CutoutLocation::Nodes { state, nodes } => {
@@ -212,14 +181,14 @@ pub fn input_configuration(
                 if nodes.contains(&n) {
                     continue;
                 }
-                scan(&node_access_sets(df, n));
+                scan(node_access_sets_of(df, n, &keep));
             }
             let co = co_reachable_states(sdfg, &[*state]);
             for s in co {
                 if s == *state {
-                    scan(&graph_access_sets(df));
+                    scan(graph_access_sets_of(df, &keep));
                 } else {
-                    scan(&graph_access_sets(&sdfg.state(s).df));
+                    scan(graph_access_sets_of(&sdfg.state(s).df, &keep));
                 }
             }
         }
@@ -229,7 +198,7 @@ pub fn input_configuration(
                 if states.contains(&s) {
                     continue;
                 }
-                scan(&graph_access_sets(&sdfg.state(s).df));
+                scan(graph_access_sets_of(&sdfg.state(s).df, &keep));
             }
         }
     }
@@ -241,6 +210,7 @@ pub fn input_configuration(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuzzyflow_ir::analysis::node_access_sets;
     use fuzzyflow_ir::{
         sym, DType, Memlet, ScalarExpr, Schedule, SdfgBuilder, Subset, SymExpr, SymRange, Tasklet,
     };

@@ -1,61 +1,35 @@
 //! Process-wide shared native-code cache.
 //!
-//! Same lock-only-on-insert design as the shared program cache
-//! ([`crate::shared`]): probes load an atomic snapshot of an immutable
-//! map and never lock; the insert mutex is taken only to publish a new
-//! snapshot. Two differences support bounded capacity with real
-//! reclamation:
+//! The same bounded LRU `SlotCache` as the shared program cache
+//! ([`crate::shared`]), keyed by kernel `jit_key`: the first caller of a
+//! key emits and publishes the blob outside the lock, concurrent callers
+//! of that key wait on its slot, and an insert beyond
+//! [`cache_capacity`](crate::cache_capacity) drops the least recently
+//! used blob. Its pages are unmapped as soon as the last kernel holding
+//! it drops too.
 //!
-//! * Snapshots hold only [`Weak`] references. The strong references
-//!   live in one bounded list guarded by the insert mutex, so evicting
-//!   an entry actually drops it — the pages are unmapped as soon as the
-//!   last executor running that kernel finishes — even though superseded
-//!   snapshots are leaked (each leaked snapshot is at most
-//!   `capacity` weak handles, not code).
-//! * Eviction is coarse LRU: every probe hit stamps its entry from a
-//!   global clock, and an insert that exceeds
-//!   [`cache_capacity`](crate::cache_capacity) drops the entry with the
-//!   oldest stamp.
-//!
-//! Concurrent misses on one key may both emit the (tiny) blob; the
-//! insert then keeps the first and the loser's copy is dropped — code
-//! emission is far cheaper than serializing all compilations through a
-//! per-key slot would be.
+//! Each fused kernel memoizes the blob it got from here, so the cache is
+//! consulted once per kernel per [`Program`](crate::Program) value, not
+//! once per run.
 
 use super::JitCode;
-use crate::shared::cache_capacity;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use crate::shared::SlotCache;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Immutable snapshot: kernel `jit_key` → (code, LRU stamp).
-type Shelf = HashMap<u64, (Weak<JitCode>, Arc<AtomicU64>)>;
-
-/// One strong entry: `(key, code, LRU stamp)`.
-type Entry = (u64, Arc<JitCode>, Arc<AtomicU64>);
-
-struct CodeCache {
-    /// Current snapshot (null until the first insert); always a leaked,
-    /// immutable `Shelf`.
-    snap: AtomicPtr<Shelf>,
-    /// The bounded strong-reference list; doubles as the insert lock.
-    strong: Mutex<Vec<Entry>>,
-}
-
-static CACHE: OnceLock<CodeCache> = OnceLock::new();
-static CLOCK: AtomicU64 = AtomicU64::new(1);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
+/// `None` records that the OS refused executable pages for this kernel.
+static CODE: SlotCache<u64, Option<Arc<JitCode>>> = SlotCache::new();
 static COMPILES: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative counters of the process-wide native-code cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodeCacheStats {
-    /// Lock-free probes that found live code.
+    /// Lookups that found the kernel's slot resident. A kernel looks up
+    /// its code once per [`Program`](crate::Program) value, so hits
+    /// come from clones of a program made before its first native run.
     pub hits: u64,
-    /// Probes that found nothing (or an evicted entry).
+    /// Lookups that inserted a fresh slot (first use, or after eviction).
     pub misses: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
@@ -69,82 +43,38 @@ pub struct CodeCacheStats {
 /// Current counters of the native-code cache. Warm re-runs of a campaign
 /// should leave `compiles` and `bytes` unchanged.
 pub fn code_cache_stats() -> CodeCacheStats {
+    let s = CODE.stats();
     CodeCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
+        hits: s.hits,
+        misses: s.misses,
+        evictions: s.evictions,
         compiles: COMPILES.load(Ordering::Relaxed),
         bytes: BYTES.load(Ordering::Relaxed),
     }
 }
 
-fn cache() -> &'static CodeCache {
-    CACHE.get_or_init(|| CodeCache {
-        snap: AtomicPtr::new(std::ptr::null_mut()),
-        strong: Mutex::new(Vec::new()),
-    })
+/// The native code of kernel `key`: the resident blob, or `emit`'s
+/// bytes published on first use. `None` when the OS refuses executable
+/// pages (the caller falls back to bytecode).
+pub(crate) fn code_for(key: u64, emit: impl FnOnce() -> Vec<u8>) -> Option<Arc<JitCode>> {
+    CODE.slot(key)
+        .get_or_init(|| {
+            let bytes = emit();
+            COMPILES.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            JitCode::publish(&bytes).map(Arc::new)
+        })
+        .clone()
 }
 
-fn shelf() -> Option<&'static Shelf> {
-    // SAFETY: `snap` only ever holds null or a `Box::leak`ed pointer,
-    // valid for the process lifetime and immutable after publication.
-    unsafe { cache().snap.load(Ordering::Acquire).as_ref() }
+/// Number of resident blobs.
+#[cfg(test)]
+pub(crate) fn resident_len() -> usize {
+    CODE.len()
 }
 
-/// Lock-free probe. A hit refreshes the entry's LRU stamp.
-pub(crate) fn lookup(key: u64) -> Option<Arc<JitCode>> {
-    let found = shelf().and_then(|m| m.get(&key)).and_then(|(w, stamp)| {
-        let code = w.upgrade()?;
-        stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-        Some(code)
-    });
-    match &found {
-        Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
-        None => MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    found
-}
-
-/// Records an emission (for the `bytes`/`compiles` counters) before the
-/// blob is published.
-pub(crate) fn count_emission(bytes: usize) {
-    COMPILES.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-/// Publishes freshly emitted code under `key`, returning the cache's
-/// entry for it (ours, or a concurrent winner's). Takes the insert lock
-/// briefly; evicts the least-recently-probed entries beyond the
-/// configured capacity.
-pub(crate) fn insert(key: u64, code: JitCode) -> Arc<JitCode> {
-    let c = cache();
-    let mut strong = c.strong.lock().expect("code-cache insert lock");
-    if let Some((_, existing, stamp)) = strong.iter().find(|(k, _, _)| *k == key) {
-        // A concurrent emitter won the race; keep one copy.
-        stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-        return Arc::clone(existing);
-    }
-    let code = Arc::new(code);
-    let stamp = Arc::new(AtomicU64::new(CLOCK.fetch_add(1, Ordering::Relaxed)));
-    strong.push((key, Arc::clone(&code), stamp));
-    let cap = cache_capacity();
-    while strong.len() > cap {
-        let oldest = strong
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, _, s))| s.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .expect("non-empty over-capacity list");
-        strong.remove(oldest);
-        EVICTIONS.fetch_add(1, Ordering::Relaxed);
-    }
-    // Rebuild and publish the snapshot from the (bounded) strong list;
-    // the superseded snapshot stays alive for readers that hold it, but
-    // only as weak handles.
-    let next: Shelf = strong
-        .iter()
-        .map(|(k, a, s)| (*k, (Arc::downgrade(a), Arc::clone(s))))
-        .collect();
-    c.snap.store(Box::leak(Box::new(next)), Ordering::Release);
-    code
+/// Whether kernel `key`'s slot is resident.
+#[cfg(test)]
+pub(crate) fn is_resident(key: u64) -> bool {
+    CODE.contains(&key)
 }

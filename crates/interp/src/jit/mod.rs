@@ -54,10 +54,10 @@
 //!    `mprotect` before the entry pointer ever escapes. A failed flip
 //!    unmaps and reports emission failure (the caller falls back to
 //!    bytecode).
-//! 3. The mapping is `munmap`ed when the last `Arc<JitCode>` drops —
-//!    executors clone the `Arc` for the duration of a kernel run, so an
-//!    eviction from the code cache can never unmap code that is still
-//!    executing.
+//! 3. The mapping is `munmap`ed when the last `Arc<JitCode>` drops. Every
+//!    fused kernel that ran the blob holds one, and a run borrows its
+//!    kernel, so an eviction from the code cache can never unmap code
+//!    that is still executing.
 //!
 //! The `jit_wx` smoke test asserts process-wide (via `/proc/self/maps`)
 //! that no `rwx` mapping exists after compilation.
@@ -67,13 +67,12 @@
 //! Compiled blobs are shape-independent: strides, pointers, symbol and
 //! parameter values are read from a per-call frame, so one compilation
 //! serves every trial of a kernel. Blobs are keyed by the kernel's
-//! process-unique `jit_key` in a process-wide `CodeCache` that
-//! follows the shared program cache's lock-only-on-insert design —
-//! probes are lock-free, the insert mutex is taken only to publish, and
-//! coarse LRU eviction (bounded by
-//! [`cache_capacity`](crate::cache_capacity)) drops the
-//! least-recently-probed entry. Warm campaigns therefore compile zero
-//! programs and emit zero bytes of native code.
+//! process-unique `jit_key` in a process-wide code cache, the same
+//! bounded LRU (sized by [`cache_capacity`](crate::cache_capacity)) as
+//! the shared program cache, and each kernel memoizes the blob it got,
+//! so a kernel takes the cache lock once, not once per run. Warm
+//! campaigns therefore compile zero programs and emit zero bytes of
+//! native code.
 
 pub(crate) mod cache;
 pub(crate) mod encoder;

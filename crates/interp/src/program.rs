@@ -30,6 +30,7 @@ use fuzzyflow_ir::{
 };
 use fuzzyflow_sym::{ConcreteRange, SymError};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// Dense id of an interned data container name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -680,6 +681,10 @@ pub(crate) struct FusedKernel {
     /// [`code cache`](crate::jit::cache). Clones (and cached `Program`s)
     /// share the key, so warm campaigns re-use the blob.
     pub(crate) jit_key: u64,
+    /// This kernel's native code, fetched from the code cache on its
+    /// first native run and kept for the kernel's lifetime, so later
+    /// runs take no lock (`None` inside: no executable pages).
+    pub(crate) native: OnceLock<Option<Arc<crate::jit::JitCode>>>,
     /// Static native-lowering eligibility: the frame layout when every
     /// instruction can be emitted bit-exactly, else the rejection reason
     /// (see [`JitReject`]). Filled in by [`fuse_map`]'s caller.
@@ -2379,6 +2384,7 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
         n_regs,
         guards,
         jit_key: crate::jit::next_jit_key(),
+        native: OnceLock::new(),
         jit: Err(JitReject::UnsupportedArch),
     };
     fk.jit = crate::jit::lower::analyze(&fk, mp.ranges.len());
@@ -3469,7 +3475,7 @@ impl<'p> Executor<'p> {
                             run_fused_jit(
                                 fk,
                                 lay,
-                                &code,
+                                code,
                                 inner,
                                 &dims,
                                 &bases,
@@ -4768,21 +4774,19 @@ fn analyze_fused_idx(
     Some((base as i64, lo, hi))
 }
 
-/// Cached (or freshly published) native code for a statically eligible
-/// kernel. `None` when the OS refuses executable pages — the caller
-/// falls back to the bytecode loops. Probing is lock-free; concurrent
-/// first-compilers may both emit, the insert keeps one copy.
-fn jit_code_for(
-    fk: &FusedKernel,
+/// Native code for a statically eligible kernel, memoized on the kernel
+/// (the shared code cache is consulted on its first native run only).
+/// `None` when the OS refuses executable pages — the caller falls back
+/// to the bytecode loops.
+fn jit_code_for<'k>(
+    fk: &'k FusedKernel,
     lay: &crate::jit::lower::JitLayout,
-) -> Option<std::sync::Arc<crate::jit::JitCode>> {
-    if let Some(code) = crate::jit::cache::lookup(fk.jit_key) {
-        return Some(code);
-    }
-    let bytes = crate::jit::lower::emit(fk, lay);
-    crate::jit::cache::count_emission(bytes.len());
-    let code = crate::jit::JitCode::publish(&bytes)?;
-    Some(crate::jit::cache::insert(fk.jit_key, code))
+) -> Option<&'k crate::jit::JitCode> {
+    fk.native
+        .get_or_init(|| {
+            crate::jit::cache::code_for(fk.jit_key, || crate::jit::lower::emit(fk, lay))
+        })
+        .as_deref()
 }
 
 /// Runtime half of packed-JIT eligibility: the emitted lane-pair loads
@@ -5463,6 +5467,57 @@ mod tests {
             df.auto_wire(m, &[a], &[o]);
         });
         b.build()
+    }
+
+    #[cfg(all(unix, target_arch = "x86_64"))]
+    #[test]
+    fn code_cache_churn_frees_evicted_code() {
+        fn kernels<'p>(b: &'p BlockPlan, out: &mut Vec<&'p FusedKernel>) {
+            for s in &b.steps {
+                if let Step::Map(mp) = s {
+                    out.extend(mp.fused.as_deref());
+                    kernels(&mp.body, out);
+                }
+            }
+        }
+        const CAP: usize = 4;
+        crate::shared::tests::at_capacity(CAP, || {
+            for _round in 0..4 {
+                let mut blobs = Vec::new();
+                let mut kept = None;
+                for k in 0..3 * CAP {
+                    let p = Program::compile(&mapped(
+                        ScalarExpr::r("x").mul(ScalarExpr::f64(k as f64 + 0.5)),
+                    ));
+                    let mut st = ExecState::new();
+                    st.bind("N", 16);
+                    st.set_array("A", ArrayValue::from_f64(vec![16], &[1.5; 16]));
+                    p.run(&mut st).unwrap();
+                    let mut fks = Vec::new();
+                    kernels(&p.states[0].body, &mut fks);
+                    let fk = fks[0];
+                    let code = fk.native.get().and_then(Option::as_ref);
+                    let code = code.expect("the kernel ran native code");
+                    blobs.push((fk.jit_key, Arc::downgrade(code)));
+                    assert!(crate::jit::cache::resident_len() <= CAP);
+                    // The first program, an outside user of its blob,
+                    // outlives the blob's eviction.
+                    kept.get_or_insert(p);
+                }
+                // Concurrent tests may evict more, never fewer: at
+                // least all but `CAP` blobs are gone from the cache.
+                let evicted: Vec<_> = blobs
+                    .iter()
+                    .filter(|(key, _)| !crate::jit::cache::is_resident(*key))
+                    .collect();
+                assert!(evicted.len() >= 2 * CAP);
+                assert!(blobs[0].1.upgrade().is_some(), "freed while in use");
+                drop(kept);
+                for (key, w) in evicted {
+                    assert!(w.upgrade().is_none(), "evicted blob {key} leaked");
+                }
+            }
+        });
     }
 
     #[test]

@@ -6,29 +6,22 @@
 //! is pure — same SDFG and options, same [`Program`] — so one process
 //! needs each program exactly once.
 //!
-//! The cache follows the lock-only-on-insert design of native fuzzing
-//! code caches:
+//! This cache and the native-code cache ([`crate::jit`]) are both a
+//! `SlotCache`: a bounded least-recently-used map from key to a
+//! per-key compile slot, behind one mutex.
 //!
-//! * **Lookup never locks.** Readers load an atomic snapshot pointer to
-//!   an immutable map and probe it; a hit is an `Arc` clone away.
-//!   Concurrent lookups of *different* keys never contend on anything.
-//! * **Insert locks briefly, compiles unlocked.** A miss takes the
-//!   insert mutex only to publish a new snapshot containing an empty
-//!   per-key slot (copy-on-write of the map — rare, small). The actual
-//!   compilation happens *outside* that mutex through the slot's
+//! * **The lock covers bookkeeping only.** A lookup locks, finds or
+//!   inserts the key's slot, stamps it most recently used and unlocks.
+//!   Compilation happens *outside* the lock through the slot's
 //!   [`OnceLock`]: the first caller compiles, concurrent callers of the
 //!   same key block on that slot only, and everyone receives the same
-//!   `Arc<Program>`. One worker compiling never stalls workers on other
-//!   keys, and there are no lost wakeups — `OnceLock::get_or_init` wakes
-//!   every waiter exactly once.
-//! * **Capacity is bounded.** Snapshots hold only [`Weak`] slot handles;
-//!   the strong references live in one list guarded by the insert mutex,
-//!   capped at [`cache_capacity`] entries with coarse LRU eviction
-//!   (every hit stamps its entry from a global clock; an insert beyond
-//!   capacity drops the oldest stamp). Eviction genuinely frees the
-//!   program once its last outside user drops it. Superseded snapshots
-//!   are intentionally leaked (readers may still hold them), but each is
-//!   at most `capacity` weak handles — not programs.
+//!   value. One worker compiling never stalls workers on other keys, and
+//!   there are no lost wakeups — `OnceLock::get_or_init` wakes every
+//!   waiter exactly once.
+//! * **Capacity is bounded and eviction frees.** An insert beyond
+//!   [`cache_capacity`] drops the least recently used slot. The cache
+//!   holds the only cache-side reference to a slot, key included, so an
+//!   evicted program is freed as soon as its last outside user drops it.
 //!
 //! Shared `Arc<Program>`s also make the downstream identity-keyed caches
 //! effective across campaigns: [`Program`] clones share their id, so
@@ -37,42 +30,111 @@
 
 use crate::program::{CompileOptions, Program};
 use fuzzyflow_ir::Sdfg;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// One cache slot: filled exactly once, by whichever caller gets there
+/// One compile slot: filled exactly once, by whichever caller gets there
 /// first; everyone else blocks on this slot only.
-type Slot = Arc<OnceLock<Arc<Program>>>;
+type Slot<V> = Arc<OnceLock<V>>;
 
-/// Immutable snapshot: content hash → weak slot handles (plus LRU
-/// stamps) whose full keys share it.
-type Shelf = HashMap<u64, Vec<(Arc<str>, Weak<OnceLock<Arc<Program>>>, Arc<AtomicU64>)>>;
+/// A bounded least-recently-used map from key to [`Slot`] (see the
+/// module docs).
+pub(crate) struct SlotCache<K, V> {
+    shelf: OnceLock<Mutex<Shelf<K, V>>>,
+}
 
-/// One strong entry: `(content hash, full key, slot, LRU stamp)`.
-type Entry = (u64, Arc<str>, Slot, Arc<AtomicU64>);
+struct Shelf<K, V> {
+    /// Key → (slot, stamp of its last lookup).
+    slots: HashMap<K, (Slot<V>, u64)>,
+    clock: u64,
+    stats: SlotStats,
+}
 
-struct SharedCache {
-    /// Current snapshot (null until the first insert). Always points to
-    /// a leaked, and therefore `'static`, immutable `Shelf`.
-    snap: AtomicPtr<Shelf>,
-    /// The bounded strong-reference list; doubles as the insert lock.
-    /// Never held while compiling.
-    strong: Mutex<Vec<Entry>>,
+/// Lookup counters of a [`SlotCache`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SlotStats {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) evictions: u64,
+}
+
+impl<K: Hash + Eq, V> SlotCache<K, V> {
+    pub(crate) const fn new() -> Self {
+        SlotCache {
+            shelf: OnceLock::new(),
+        }
+    }
+
+    fn shelf(&self) -> MutexGuard<'_, Shelf<K, V>> {
+        self.shelf
+            .get_or_init(|| {
+                Mutex::new(Shelf {
+                    slots: HashMap::new(),
+                    clock: 0,
+                    stats: SlotStats::default(),
+                })
+            })
+            .lock()
+            // Nothing panics while the lock is held, but a poisoned
+            // shelf would still be consistent.
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The slot of `key`, inserted empty on a miss and stamped most
+    /// recently used either way. An insert beyond [`cache_capacity`]
+    /// evicts the least recently used slots.
+    pub(crate) fn slot(&self, key: K) -> Slot<V> {
+        let mut guard = self.shelf();
+        let shelf = &mut *guard;
+        shelf.clock += 1;
+        let slot = match shelf.slots.entry(key) {
+            Entry::Occupied(mut e) => {
+                shelf.stats.hits += 1;
+                e.get_mut().1 = shelf.clock;
+                Arc::clone(&e.get().0)
+            }
+            Entry::Vacant(e) => {
+                shelf.stats.misses += 1;
+                Arc::clone(&e.insert((Arc::default(), shelf.clock)).0)
+            }
+        };
+        let cap = cache_capacity();
+        while shelf.slots.len() > cap {
+            // Stamps are unique, so this drops exactly one slot. Freeing
+            // its value here, under the lock, cannot deadlock: neither a
+            // program nor a code blob touches a cache when dropped.
+            let oldest = shelf.slots.values().map(|&(_, t)| t).min();
+            shelf.slots.retain(|_, &mut (_, t)| Some(t) != oldest);
+            shelf.stats.evictions += 1;
+        }
+        slot
+    }
+
+    pub(crate) fn stats(&self) -> SlotStats {
+        self.shelf().stats
+    }
+
+    /// Number of resident slots.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.shelf().slots.len()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: &K) -> bool {
+        self.shelf().slots.contains_key(key)
+    }
 }
 
 /// Default capacity of the process-wide caches (see [`cache_capacity`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-static CACHE: OnceLock<SharedCache> = OnceLock::new();
+static PROGRAMS: SlotCache<String, Arc<Program>> = SlotCache::new();
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CACHE_CAPACITY);
-static CLOCK: AtomicU64 = AtomicU64::new(1);
 static COMPILES: AtomicU64 = AtomicU64::new(0);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// The shared capacity knob of every process-wide stash: the program
 /// cache here, the native-code cache ([`crate::jit`]), the fuzzing
@@ -89,13 +151,6 @@ pub fn set_cache_capacity(cap: usize) {
     CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
-fn cache() -> &'static SharedCache {
-    CACHE.get_or_init(|| SharedCache {
-        snap: AtomicPtr::new(std::ptr::null_mut()),
-        strong: Mutex::new(Vec::new()),
-    })
-}
-
 /// Number of programs this process has actually compiled through the
 /// shared cache (cache hits do not count). Warm re-runs of a campaign
 /// should leave this unchanged.
@@ -106,9 +161,9 @@ pub fn shared_compile_count() -> u64 {
 /// Cumulative counters of the process-wide shared program cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
-    /// Lock-free probes that found a live slot.
+    /// Lookups that found the key's slot resident.
     pub hits: u64,
-    /// Probes that found nothing (or an evicted slot).
+    /// Lookups that inserted a fresh slot (first use, or after eviction).
     pub misses: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
@@ -119,44 +174,13 @@ pub struct SharedCacheStats {
 
 /// Current counters of the shared program cache.
 pub fn shared_cache_stats() -> SharedCacheStats {
+    let s = PROGRAMS.stats();
     SharedCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
+        hits: s.hits,
+        misses: s.misses,
+        evictions: s.evictions,
         compiles: COMPILES.load(Ordering::Relaxed),
     }
-}
-
-fn shelf_of(c: &'static SharedCache) -> Option<&'static Shelf> {
-    // SAFETY: `snap` only ever holds null or a pointer from
-    // `Box::leak`, so any non-null value is valid for the process
-    // lifetime and never mutated after publication.
-    unsafe { c.snap.load(Ordering::Acquire).as_ref() }
-}
-
-/// Lock-free probe of the published snapshot. A hit refreshes the
-/// entry's LRU stamp.
-fn probe(shelf: Option<&Shelf>, h: u64, key: &str) -> Option<Slot> {
-    let (_, weak, stamp) = shelf
-        .and_then(|m| m.get(&h))
-        .and_then(|v| v.iter().find(|(k, _, _)| &**k == key))?;
-    let slot = weak.upgrade()?;
-    stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-    Some(slot)
-}
-
-/// Rebuilds and publishes the snapshot from the (bounded) strong list.
-/// Caller holds the insert lock.
-fn publish(c: &'static SharedCache, strong: &[Entry]) {
-    let mut next: Shelf = HashMap::new();
-    for (h, k, slot, stamp) in strong {
-        next.entry(*h)
-            .or_default()
-            .push((Arc::clone(k), Arc::downgrade(slot), Arc::clone(stamp)));
-    }
-    // Leak the new snapshot; the superseded one stays alive for readers
-    // that already loaded it, holding only weak handles.
-    c.snap.store(Box::leak(Box::new(next)), Ordering::Release);
 }
 
 /// [`Program::compile`] through the shared cache.
@@ -169,65 +193,23 @@ pub fn compile_shared(sdfg: &Sdfg) -> Arc<Program> {
 /// and options, compiling it at most once while resident.
 pub fn compile_shared_with(sdfg: &Sdfg, opts: &CompileOptions) -> Arc<Program> {
     // Content key: options plus the SDFG's complete debug rendering
-    // (structurally equal SDFGs render identically). Hash for the map,
-    // full string compare on probe — no collision risk.
+    // (structurally equal SDFGs render identically).
     let key = format!(
         "s{}f{}|{sdfg:?}",
         opts.specialize_f64 as u8, opts.fuse_maps as u8
     );
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    let h = hasher.finish();
-
-    let c = cache();
-    let slot = match probe(shelf_of(c), h, &key) {
-        Some(slot) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            slot
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            let mut strong = c.strong.lock().expect("shared-cache insert lock");
-            // Re-probe under the lock (against the authoritative strong
-            // list): a concurrent inserter may have published this key
-            // between our miss and the acquisition.
-            if let Some((_, _, slot, stamp)) =
-                strong.iter().find(|(eh, ek, _, _)| *eh == h && **ek == key)
-            {
-                stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                Arc::clone(slot)
-            } else {
-                let slot: Slot = Arc::new(OnceLock::new());
-                let stamp = Arc::new(AtomicU64::new(CLOCK.fetch_add(1, Ordering::Relaxed)));
-                strong.push((h, Arc::from(key.as_str()), Arc::clone(&slot), stamp));
-                let cap = cache_capacity();
-                while strong.len() > cap {
-                    let oldest = strong
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, _, s))| s.load(Ordering::Relaxed))
-                        .map(|(i, _)| i)
-                        .expect("non-empty over-capacity list");
-                    strong.remove(oldest);
-                    EVICTIONS.fetch_add(1, Ordering::Relaxed);
-                }
-                publish(c, &strong);
-                slot
-            }
-        }
-    };
-    Arc::clone(slot.get_or_init(|| {
+    Arc::clone(PROGRAMS.slot(key).get_or_init(|| {
         COMPILES.fetch_add(1, Ordering::Relaxed);
         Arc::new(Program::compile_with_options(sdfg, opts))
     }))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fuzzyflow_ir::{DType, Memlet, ScalarExpr, SdfgBuilder, Subset, SymExpr, Tasklet};
 
-    fn sample(name: &str, factor: f64) -> Sdfg {
+    pub(crate) fn sample(name: &str, factor: f64) -> Sdfg {
         let mut b = SdfgBuilder::new(name);
         b.symbol("N");
         b.array("A", DType::F64, &["N"]);
@@ -257,10 +239,60 @@ mod tests {
         b.build()
     }
 
-    // One test (not several) so the global compile counter deltas cannot
-    // race against a sibling test in the same process.
+    /// Serializes the tests that change the process-wide capacity.
+    static CAPACITY_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Runs `f` at cache capacity `cap`, restoring the previous capacity
+    /// afterwards (also when `f` panics).
+    pub(crate) fn at_capacity<R>(cap: usize, f: impl FnOnce() -> R) -> R {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                set_cache_capacity(self.0);
+            }
+        }
+        let _lock = CAPACITY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _restore = Restore(cache_capacity());
+        set_cache_capacity(cap);
+        f()
+    }
+
+    #[test]
+    fn churn_frees_evicted_programs() {
+        const CAP: usize = 4;
+        let sdfgs: Vec<Sdfg> = (0..3 * CAP)
+            .map(|i| sample(&format!("shared_cache_churn_{i}"), i as f64))
+            .collect();
+        at_capacity(CAP, || {
+            for _round in 0..4 {
+                // An outside user keeps the first program alive past its
+                // eviction; everything else is dropped right away.
+                let kept = compile_shared(&sdfgs[0]);
+                let mut weaks = vec![Arc::downgrade(&kept)];
+                for s in &sdfgs[1..] {
+                    weaks.push(Arc::downgrade(&compile_shared(s)));
+                    assert!(PROGRAMS.len() <= CAP, "cache over capacity");
+                }
+                // LRU order: all but the last `CAP` programs are evicted.
+                let evicted = &weaks[..weaks.len() - CAP];
+                assert!(evicted[0].upgrade().is_some(), "evicted while in use");
+                drop(kept);
+                for (i, w) in evicted.iter().enumerate() {
+                    assert!(w.upgrade().is_none(), "evicted program {i} leaked");
+                }
+            }
+        });
+    }
+
+    // One test (not several), serialized with the churn test, so the
+    // global compile counter deltas cannot race against a sibling test
+    // in the same process.
     #[test]
     fn shared_cache_compiles_each_content_once() {
+        at_capacity(DEFAULT_CACHE_CAPACITY, compiles_each_content_once);
+    }
+
+    fn compiles_each_content_once() {
         // Structurally identical SDFGs built twice: one compilation.
         let s1 = sample("shared_cache_once", 2.0);
         let s2 = sample("shared_cache_once", 2.0);
@@ -301,7 +333,6 @@ mod tests {
         // Capacity bound: with a capacity of 2, three distinct keys
         // force an LRU eviction, and re-requesting the evicted content
         // recompiles under a fresh program id.
-        let cap_before = cache_capacity();
         set_cache_capacity(2);
         let (ca, cb, cc) = (
             sample("shared_cache_cap_a", 4.0),
@@ -317,6 +348,5 @@ mod tests {
         // entry guaranteed gone is the LRU — `ca` among the three.
         let a2 = compile_shared(&ca).id();
         assert_ne!(a1, a2, "evicted content must recompile");
-        set_cache_capacity(cap_before);
     }
 }

@@ -106,18 +106,39 @@ pub fn widen_over_param(subset: &Subset, param: &str, range: &SymRange) -> Subse
 /// * Map scopes recursively aggregate their body and widen every access
 ///   over the iteration parameters.
 pub fn node_access_sets(df: &Dataflow, node: NodeId) -> AccessSets {
+    node_access_sets_of(df, node, &|_| true)
+}
+
+/// Union of the access sets of every computation node in a graph
+/// (recursing into nested maps via [`node_access_sets`]).
+pub fn graph_access_sets(df: &Dataflow) -> AccessSets {
+    graph_access_sets_of(df, &|_| true)
+}
+
+/// [`node_access_sets`] restricted to the containers `keep` accepts.
+///
+/// The filter runs before an access is cloned and widened over map
+/// ranges. Widening is per access, so the result equals
+/// [`node_access_sets`] with the other containers' accesses dropped, in
+/// the same order — at the cost of the kept accesses only.
+pub fn node_access_sets_of(df: &Dataflow, node: NodeId, keep: &dyn Fn(&str) -> bool) -> AccessSets {
     let mut sets = AccessSets::default();
     match df.graph.node(node) {
         DfNode::Access(_) => {}
         DfNode::Tasklet(_) | DfNode::Library(_) => {
             for (_, m) in df.in_memlets(node) {
-                sets.reads.push(Access {
-                    data: m.data.clone(),
-                    subset: m.subset.clone(),
-                    wcr: None,
-                });
+                if keep(&m.data) {
+                    sets.reads.push(Access {
+                        data: m.data.clone(),
+                        subset: m.subset.clone(),
+                        wcr: None,
+                    });
+                }
             }
             for (_, m) in df.out_memlets(node) {
+                if !keep(&m.data) {
+                    continue;
+                }
                 sets.writes.push(Access {
                     data: m.data.clone(),
                     subset: m.subset.clone(),
@@ -136,7 +157,7 @@ pub fn node_access_sets(df: &Dataflow, node: NodeId) -> AccessSets {
             }
         }
         DfNode::Map(map) => {
-            let mut body = graph_access_sets(&map.body);
+            let mut body = graph_access_sets_of(&map.body, keep);
             // Widen innermost-first: later ranges may reference earlier
             // parameters (triangular spaces), so substituting an inner
             // parameter can re-introduce an outer one, which the outer
@@ -152,12 +173,12 @@ pub fn node_access_sets(df: &Dataflow, node: NodeId) -> AccessSets {
     sets
 }
 
-/// Union of the access sets of every computation node in a graph
-/// (recursing into nested maps via [`node_access_sets`]).
-pub fn graph_access_sets(df: &Dataflow) -> AccessSets {
+/// [`graph_access_sets`] restricted to the containers `keep` accepts
+/// (see [`node_access_sets_of`]).
+pub fn graph_access_sets_of(df: &Dataflow, keep: &dyn Fn(&str) -> bool) -> AccessSets {
     let mut sets = AccessSets::default();
     for n in df.computation_nodes() {
-        sets.merge(node_access_sets(df, n));
+        sets.merge(node_access_sets_of(df, n, keep));
     }
     sets
 }
