@@ -22,10 +22,10 @@
 //! * each run yields a serializable [`CampaignReport`] with structured
 //!   errors and bit-exact, replayable test cases.
 //!
-//! [`verify_instance`](crate::verify_instance),
-//! [`sweep`](crate::sweep::sweep) and `CoverageFuzzer::run_many` are
-//! thin wrappers over single-shot sessions on this same path, so their
-//! reports are byte-identical to the campaign equivalents.
+//! [`verify_instance`](crate::verify_instance) and
+//! [`sweep`](crate::sweep::sweep) are thin wrappers over single-shot
+//! sessions on this same path, so their reports are byte-identical to
+//! the campaign equivalents.
 //!
 //! ```
 //! use fuzzyflow::session::{Campaign, Event};
@@ -77,7 +77,7 @@ use crate::verify::{
     prepare_instance, run_prepared, PreparedInstance, VerificationReport, VerifyConfig, VerifyError,
 };
 use fuzzyflow_evo::{rng_split, EvoEvent, EvolutionFuzzer};
-use fuzzyflow_fuzz::{CaseOutcome, TestCase, Verdict};
+use fuzzyflow_fuzz::Verdict;
 use fuzzyflow_ir::{Bindings, Sdfg};
 use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use fuzzyflow_transforms::{Transformation, TransformationMatch};
@@ -561,45 +561,14 @@ fn run_evolved(
     // Project the evolution outcome onto the one-shot verdict classes,
     // with the first (earliest-trial) fault as the instance verdict —
     // the triage buckets carry the rest.
-    let name = &prepared.cutout.sdfg.name;
     let verdict = if out.seed_rejected {
         Verdict::Inconclusive {
             reason: "original cutout rejected the seed input".to_string(),
         }
     } else if let Some(f) = &out.first_fault {
-        let case = TestCase::capture(name, &fuzzyflow_evo::failure_text(&f.outcome), &f.state);
-        match &f.outcome {
-            CaseOutcome::Hang(e) => Verdict::Hang {
-                trial: f.trial,
-                error: e.to_string(),
-                case,
-            },
-            CaseOutcome::Crash(e) => Verdict::Crash {
-                trial: f.trial,
-                error: e.to_string(),
-                case,
-            },
-            CaseOutcome::Invalid(e) => Verdict::InvalidCode {
-                errors: vec![e.to_string()],
-            },
-            CaseOutcome::SymbolChange {
-                symbol,
-                original,
-                transformed,
-            } => Verdict::SemanticChange {
-                trial: f.trial,
-                mismatch: format!("symbol '{symbol}' differs: {original:?} vs {transformed:?}"),
-                case,
-            },
-            CaseOutcome::SemanticChange(m) => Verdict::SemanticChange {
-                trial: f.trial,
-                mismatch: m.to_string(),
-                case,
-            },
-            CaseOutcome::OriginalFailed(_) | CaseOutcome::Pass => {
-                unreachable!("collected faults are faults")
-            }
-        }
+        f.outcome
+            .verdict(f.trial, &prepared.cutout.sdfg.name, &f.state)
+            .expect("collected faults are faults")
     } else {
         Verdict::Equivalent {
             trials: out.trials_run,

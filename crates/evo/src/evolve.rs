@@ -4,8 +4,11 @@ use crate::corpus::Corpus;
 use crate::mutate::{symbol_bounds, MutOp, Mutator};
 use crate::triage::{triage, FaultBucket};
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_fuzz::{ArenaStash, CaseOutcome, Constraints, DiffTester, Xoshiro256};
-use fuzzyflow_interp::{ArrayValue, CoverageMap, ExecOptions, ExecState, ExecutorArena, Program};
+use fuzzyflow_fuzz::{
+    checkout_executors, park_executors, ArenaStash, CaseOutcome, Constraints, DiffTester,
+    Xoshiro256,
+};
+use fuzzyflow_interp::{ArrayValue, CoverageMap, ExecState, Program};
 use fuzzyflow_ir::{Bindings, Scalar};
 
 /// Splitmix64-style mixing of a seed with a stream/instance index —
@@ -194,8 +197,11 @@ impl EvolutionFuzzer {
 
     /// Runs the evolutionary campaign over a compiled cutout pair.
     ///
-    /// Arenas come from `stash` when given (the session's per-instance
-    /// artifact cache) and are parked back on return; triage bisection
+    /// Every run pair is judged by the differential oracle the other
+    /// drivers share ([`DiffTester::compare_transformed`]), after an
+    /// instrumented original run. Arenas come from `stash` when given
+    /// (the session's per-instance artifact cache), from the per-worker
+    /// cache otherwise, and are parked back on return; triage bisection
     /// probes replay through the same executors, so the whole campaign
     /// — trials and probes — compiles nothing and constructs arenas only
     /// on a cold stash. `observe` streams [`EvoEvent`]s as they happen.
@@ -210,20 +216,11 @@ impl EvolutionFuzzer {
         stash: Option<&ArenaStash>,
         observe: &mut dyn FnMut(&EvoEvent),
     ) -> EvoOutcome {
-        let (oa, ta) = stash
-            .and_then(|s| s.take())
-            .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new()));
-        let mut orig_exec = orig_prog.executor_with(oa);
-        let mut trans_exec = trans_prog.executor_with(ta);
-
+        let (mut orig_exec, mut trans_exec) = checkout_executors(stash, orig_prog, trans_prog);
         let tester = DiffTester {
             tolerance: self.tolerance,
             max_steps: self.max_steps,
             ..DiffTester::default()
-        };
-        let opts = ExecOptions {
-            max_steps: self.max_steps,
-            ..ExecOptions::default()
         };
         let mutator = Mutator {
             size_max: self.size_max,
@@ -266,7 +263,7 @@ impl EvolutionFuzzer {
             // Original run, instrumented — coverage feeds the scheduler
             // even when the input goes on to fault or be rejected.
             let mut cov = CoverageMap::new();
-            let orig_result = orig_exec.execute(&state, &opts, None, Some(&mut cov));
+            let orig_result = tester.run_original(&state, &mut orig_exec, Some(&mut cov));
             let novel = corpus.record_execution(&cov);
             if novel {
                 observe(&EvoEvent::Novelty {
@@ -283,39 +280,7 @@ impl EvolutionFuzzer {
                 continue;
             }
 
-            // Transformed run on the same input, then the differential
-            // comparison sequence (hang/crash/invalid, symbol state,
-            // system state) — structured, for triage.
-            let outcome = match trans_exec.execute(&state, &opts, None, None) {
-                Err(e) if e.is_hang() => CaseOutcome::Hang(e),
-                Err(e) if e.is_crash() => CaseOutcome::Crash(e),
-                Err(e) => CaseOutcome::Invalid(e),
-                Ok(()) => {
-                    let mut sym_change = None;
-                    for s in &cutout.symbol_state {
-                        if orig_exec.symbol(s) != trans_exec.symbol(s) {
-                            sym_change = Some(CaseOutcome::SymbolChange {
-                                symbol: s.clone(),
-                                original: orig_exec.symbol(s),
-                                transformed: trans_exec.symbol(s),
-                            });
-                            break;
-                        }
-                    }
-                    match sym_change {
-                        Some(c) => c,
-                        None => match orig_exec.compare_on(
-                            &trans_exec,
-                            &cutout.system_state,
-                            self.tolerance,
-                        ) {
-                            Some(m) => CaseOutcome::SemanticChange(m),
-                            None => CaseOutcome::Pass,
-                        },
-                    }
-                }
-            };
-
+            let outcome = tester.compare_transformed(cutout, &state, &orig_exec, &mut trans_exec);
             if outcome.is_fault() {
                 faults.push(EvoFault {
                     trial,
@@ -356,10 +321,7 @@ impl EvolutionFuzzer {
             });
         }
 
-        let pair = (orig_exec.into_arena(), trans_exec.into_arena());
-        if let Some(stash) = stash {
-            stash.put(pair);
-        }
+        park_executors(stash, orig_prog, trans_prog, (orig_exec, trans_exec));
 
         EvoOutcome {
             trials_run,

@@ -23,6 +23,11 @@
 //!   crashes collapse into one [`FaultBucket`] with a replayable
 //!   representative [`TestCase`](fuzzyflow_fuzz::TestCase).
 //!
+//! Every run pair goes through the one differential oracle of
+//! `fuzzyflow_fuzz` ([`DiffTester::compare_transformed`](fuzzyflow_fuzz::DiffTester::compare_transformed)),
+//! the same one the one-shot samplers use, so an evolved fault is
+//! classified and worded exactly as a sampled one would be.
+//!
 //! Everything is sequential and deterministic per instance; campaign
 //! sessions (`fuzzyflow::session`) fan instances out on the shared
 //! worker pool and still produce byte-identical reports for any thread
@@ -36,7 +41,7 @@ pub mod triage;
 pub use corpus::{Corpus, CorpusEntry};
 pub use evolve::{rng_split, EvoEvent, EvoFault, EvoOutcome, EvolutionFuzzer, EvolveConfig};
 pub use mutate::{scalar_bits, scalar_from_bits, symbol_bounds, MutOp, Mutator};
-pub use triage::{bisect, failure_text, materialize, triage, FaultBucket};
+pub use triage::{bisect, materialize, triage, FaultBucket};
 
 #[cfg(test)]
 mod tests {

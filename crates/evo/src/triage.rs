@@ -52,10 +52,11 @@ pub fn materialize(cutout: &Cutout, seed: &ExecState, lineage: &[MutOp]) -> Exec
 ///
 /// Invariant: the empty prefix (the seed) is known to pass and the full
 /// lineage is known to fail — both were executed live during the
-/// campaign. Probes replay through the caller's executors
-/// ([`DiffTester::replay_on`]), so the bisection compiles nothing and
-/// constructs no arenas. Returns `(prefix length, probe outcome at that
-/// prefix, probe state)`.
+/// campaign. Probes replay through the caller's executors and the same
+/// differential oracle the campaign used ([`DiffTester::replay_on`]), so
+/// a probe classifies a fault exactly as the live run did, and the
+/// bisection compiles nothing and constructs no arenas. Returns
+/// `(prefix length, probe outcome at that prefix, probe state)`.
 pub fn bisect(
     tester: &DiffTester,
     cutout: &Cutout,
@@ -112,7 +113,7 @@ pub fn triage(
             label: outcome.label().to_string(),
             trial: fault.trial,
             duplicates: 0,
-            representative: TestCase::capture(&cutout.sdfg.name, &failure_text(&outcome), &state),
+            representative: TestCase::capture(&cutout.sdfg.name, &outcome.failure_text(), &state),
         });
         bucket.duplicates += 1;
         if fault.trial < bucket.trial {
@@ -120,18 +121,4 @@ pub fn triage(
         }
     }
     buckets.into_values().collect()
-}
-
-/// Human-readable failure line for a representative test case, matching
-/// the phrasing the trial loop captures.
-pub fn failure_text(outcome: &CaseOutcome) -> String {
-    match outcome {
-        CaseOutcome::Hang(e)
-        | CaseOutcome::Crash(e)
-        | CaseOutcome::Invalid(e)
-        | CaseOutcome::OriginalFailed(e) => e.to_string(),
-        CaseOutcome::SymbolChange { symbol, .. } => format!("symbol state change: '{symbol}'"),
-        CaseOutcome::SemanticChange(m) => format!("semantic change: {m}"),
-        CaseOutcome::Pass => "pass".to_string(),
-    }
 }

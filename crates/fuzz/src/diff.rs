@@ -1,25 +1,38 @@
-//! Gray-box differential testing (paper Sec. 5.1).
+//! Gray-box differential testing (paper Sec. 5.1) and the differential
+//! oracle every trial driver shares.
+//!
+//! The oracle runs the original cutout on an input
+//! ([`DiffTester::run_original`]), then the transformed cutout on the
+//! same input, and compares in a fixed order
+//! ([`DiffTester::compare_transformed`]): a transformed-side hang, crash
+//! or structural failure first, then the scalar symbol side effects
+//! ([`Cutout::symbol_state`]), then the system state under the
+//! tolerance `t_Δ`. [`CaseOutcome::verdict`] renders a fault the way
+//! reports carry it. The gray-box trials, replay and triage probes, the
+//! evolutionary loop and the coverage-guided baseline all go through
+//! these, so a fault is classified and worded the same wherever it is
+//! met.
 
 use crate::constraints::Constraints;
 use crate::rng::Xoshiro256;
 use crate::sampler::{sample_state, ValueProfile};
 use crate::testcase::TestCase;
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_interp::{ExecOptions, ExecState, ExecutorArena, Program, ResetPolicy};
+use fuzzyflow_interp::{
+    CoverageMap, ExecError, ExecOptions, ExecState, Executor, ExecutorArena, Program, ResetPolicy,
+};
 use fuzzyflow_ir::{validate, Sdfg};
 use fuzzyflow_pool::{resolve_threads, WorkerCache, WorkerPool};
 use std::sync::Mutex;
 
 /// Per-worker cache of executor-arena pairs, keyed by the compiled
-/// `(original, transformed)` program identities. `DiffTester::test` and
-/// `CoverageFuzzer::run` compile fresh programs per call, so their
-/// checkouts land on the *recycled* path: a worker moving to the next
-/// instance (or re-testing one) reuses the previous pair's allocations
-/// instead of constructing executors from scratch — the fig6-sweep
-/// profile shows no per-trial (and almost no per-instance) arena
-/// construction. Exact-key hits serve callers that hold a compiled
-/// [`Program`] across calls, like the distributed runtime.
-pub(crate) fn exec_arena_cache() -> &'static WorkerCache<(ExecutorArena, ExecutorArena)> {
+/// `(original, transformed)` program identities. Drivers that compile
+/// fresh programs per call (`DiffTester::test`, `CoverageFuzzer::run`)
+/// land on the *recycled* path: a worker moving to the next instance (or
+/// re-testing one) reuses the previous pair's allocations instead of
+/// constructing executors from scratch. Exact-key hits serve callers
+/// that hold a compiled [`Program`] across calls.
+fn exec_arena_cache() -> &'static WorkerCache<(ExecutorArena, ExecutorArena)> {
     static CACHE: std::sync::OnceLock<WorkerCache<(ExecutorArena, ExecutorArena)>> =
         std::sync::OnceLock::new();
     let cache = CACHE.get_or_init(|| WorkerCache::new(ARENA_CACHE_BASE));
@@ -33,8 +46,41 @@ pub(crate) fn exec_arena_cache() -> &'static WorkerCache<(ExecutorArena, Executo
 const ARENA_CACHE_BASE: usize = 4;
 
 /// Cache key of a compiled program pair.
-pub(crate) fn pair_key(orig: &Program, trans: &Program) -> u64 {
+fn pair_key(orig: &Program, trans: &Program) -> u64 {
     orig.id().rotate_left(32) ^ trans.id()
+}
+
+/// Checks an executor pair for a compiled cutout pair out of `stash`, or
+/// out of the per-worker cache when there is no stash; a miss constructs
+/// fresh arenas. Return the pair with [`park_executors`] and the same
+/// `stash`, so the next checkout reuses its allocations.
+pub fn checkout_executors<'p>(
+    stash: Option<&ArenaStash>,
+    orig_prog: &'p Program,
+    trans_prog: &'p Program,
+) -> (Executor<'p>, Executor<'p>) {
+    let fresh = || (ExecutorArena::new(), ExecutorArena::new());
+    let (oa, ta) = match stash {
+        Some(stash) => stash.take().unwrap_or_else(fresh),
+        None => exec_arena_cache().checkout_or(pair_key(orig_prog, trans_prog), fresh),
+    };
+    (orig_prog.executor_with(oa), trans_prog.executor_with(ta))
+}
+
+/// Parks the arenas of a pair that [`checkout_executors`] made for the
+/// same programs back into `stash`, or into the per-worker cache when
+/// there is no stash.
+pub fn park_executors(
+    stash: Option<&ArenaStash>,
+    orig_prog: &Program,
+    trans_prog: &Program,
+    (orig_exec, trans_exec): (Executor<'_>, Executor<'_>),
+) {
+    let pair = (orig_exec.into_arena(), trans_exec.into_arena());
+    match stash {
+        Some(stash) => stash.put(pair),
+        None => exec_arena_cache().store(pair_key(orig_prog, trans_prog), pair),
+    }
 }
 
 /// A caller-owned pool of executor-arena pairs — the artifact-cache
@@ -149,27 +195,27 @@ impl Verdict {
     }
 }
 
-/// Outcome of replaying one concrete input through a compiled cutout
-/// pair ([`DiffTester::replay_case`]).
+/// Outcome of the differential oracle on one concrete input (see the
+/// module docs): what every trial driver records per run pair.
 ///
 /// Unlike [`Verdict`], whose fault variants carry rendered strings for
-/// reporting, these carry the *structured* [`ExecError`](fuzzyflow_interp::ExecError) /
+/// reporting, these carry the *structured* [`ExecError`] /
 /// [`StateMismatch`](fuzzyflow_interp::StateMismatch) so triage can
 /// bucket faults by error class and faulting container without parsing
-/// messages back apart.
+/// messages back apart. [`CaseOutcome::verdict`] does the rendering.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CaseOutcome {
     /// Both sides ran and the compared state matched.
     Pass,
     /// The *original* cutout rejected the input — nothing can be
     /// concluded about the transformation from this case.
-    OriginalFailed(fuzzyflow_interp::ExecError),
+    OriginalFailed(ExecError),
     /// The transformed cutout exceeded the step budget.
-    Hang(fuzzyflow_interp::ExecError),
+    Hang(ExecError),
     /// The transformed cutout crashed (OOB, guard plane, division, …).
-    Crash(fuzzyflow_interp::ExecError),
+    Crash(ExecError),
     /// The transformed cutout failed structurally at runtime.
-    Invalid(fuzzyflow_interp::ExecError),
+    Invalid(ExecError),
     /// A scalar side-effect symbol diverged between the two runs.
     SymbolChange {
         symbol: String,
@@ -222,6 +268,58 @@ impl CaseOutcome {
             CaseOutcome::SymbolChange { symbol, .. } => Some(symbol),
             CaseOutcome::SemanticChange(m) => Some(&m.data),
         }
+    }
+
+    /// The failure line of a [`TestCase`] captured for this outcome.
+    pub fn failure_text(&self) -> String {
+        match self {
+            CaseOutcome::Hang(e)
+            | CaseOutcome::Crash(e)
+            | CaseOutcome::Invalid(e)
+            | CaseOutcome::OriginalFailed(e) => e.to_string(),
+            CaseOutcome::SymbolChange { symbol, .. } => format!("symbol state change: '{symbol}'"),
+            CaseOutcome::SemanticChange(m) => format!("semantic change: {m}"),
+            CaseOutcome::Pass => "pass".to_string(),
+        }
+    }
+
+    /// The report verdict of a fault that surfaced on `trial` with
+    /// `input` on the cutout named `cutout` (its test case captures that
+    /// input under [`CaseOutcome::failure_text`]); `None` for outcomes
+    /// that are not faults. Every driver renders its faults through
+    /// this, so one fault reads the same in every report.
+    pub fn verdict(&self, trial: usize, cutout: &str, input: &ExecState) -> Option<Verdict> {
+        let case = || TestCase::capture(cutout, &self.failure_text(), input);
+        Some(match self {
+            CaseOutcome::Pass | CaseOutcome::OriginalFailed(_) => return None,
+            CaseOutcome::Hang(e) => Verdict::Hang {
+                trial,
+                error: e.to_string(),
+                case: case(),
+            },
+            CaseOutcome::Crash(e) => Verdict::Crash {
+                trial,
+                error: e.to_string(),
+                case: case(),
+            },
+            CaseOutcome::Invalid(e) => Verdict::InvalidCode {
+                errors: vec![e.to_string()],
+            },
+            CaseOutcome::SymbolChange {
+                symbol,
+                original,
+                transformed,
+            } => Verdict::SemanticChange {
+                trial,
+                mismatch: format!("symbol '{symbol}' differs: {original:?} vs {transformed:?}"),
+                case: case(),
+            },
+            CaseOutcome::SemanticChange(m) => Verdict::SemanticChange {
+                trial,
+                mismatch: m.to_string(),
+                case: case(),
+            },
+        })
     }
 }
 
@@ -307,24 +405,10 @@ enum TrialOutcome {
     NoSample {
         resamples: usize,
     },
-    Hang {
-        error: String,
-        case: TestCase,
-        resamples: usize,
-    },
-    Crash {
-        error: String,
-        case: TestCase,
-        resamples: usize,
-    },
-    /// Structural failure at runtime: invalid code.
-    Invalid {
-        error: String,
-        resamples: usize,
-    },
-    SemanticChange {
-        mismatch: String,
-        case: TestCase,
+    /// The oracle found a fault on `sample`.
+    Fault {
+        outcome: CaseOutcome,
+        sample: ExecState,
         resamples: usize,
     },
 }
@@ -334,10 +418,7 @@ impl TrialOutcome {
         match self {
             TrialOutcome::Passed { resamples }
             | TrialOutcome::NoSample { resamples }
-            | TrialOutcome::Hang { resamples, .. }
-            | TrialOutcome::Crash { resamples, .. }
-            | TrialOutcome::Invalid { resamples, .. }
-            | TrialOutcome::SemanticChange { resamples, .. } => *resamples,
+            | TrialOutcome::Fault { resamples, .. } => *resamples,
         }
     }
 
@@ -459,7 +540,6 @@ impl DiffTester {
         let stop_at = std::sync::atomic::AtomicUsize::new(usize::MAX);
         let done = std::sync::atomic::AtomicUsize::new(0);
         let parts: Mutex<Vec<Vec<(usize, TrialOutcome)>>> = Mutex::new(Vec::new());
-        let key = pair_key(orig_prog, trans_prog);
         pool.parallel_for(
             self.trials,
             width,
@@ -469,18 +549,8 @@ impl DiffTester {
             // stash or the worker's cache, so repeat tests and sweep
             // successors reuse them.
             || {
-                let (oa, ta) = match stash {
-                    Some(stash) => stash
-                        .take()
-                        .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new())),
-                    None => exec_arena_cache()
-                        .checkout_or(key, || (ExecutorArena::new(), ExecutorArena::new())),
-                };
-                (
-                    orig_prog.executor_with(oa),
-                    trans_prog.executor_with(ta),
-                    Vec::new(),
-                )
+                let (orig_exec, trans_exec) = checkout_executors(stash, orig_prog, trans_prog);
+                (orig_exec, trans_exec, Vec::new())
             },
             |(orig_exec, trans_exec, local), idx| {
                 let trial = idx + 1;
@@ -497,11 +567,7 @@ impl DiffTester {
                 }
             },
             |(orig_exec, trans_exec, local)| {
-                let pair = (orig_exec.into_arena(), trans_exec.into_arena());
-                match stash {
-                    Some(stash) => stash.put(pair),
-                    None => exec_arena_cache().store(key, pair),
-                }
+                park_executors(stash, orig_prog, trans_prog, (orig_exec, trans_exec));
                 parts.lock().expect("trial buffers poisoned").push(local);
             },
         );
@@ -513,125 +579,51 @@ impl DiffTester {
                 outcomes[trial - 1] = Some(outcome);
             }
         }
-        self.finalize(outcomes)
+        self.finalize(&cutout.sdfg.name, outcomes)
     }
 
     /// One independent trial: sample until the original cutout accepts an
-    /// input, then run the transformed program on the same input and
-    /// compare the system states.
+    /// input, then hand the pair to the oracle.
     fn run_trial(
         &self,
         cutout: &Cutout,
         constraints: &Constraints,
         trial: usize,
-        orig_exec: &mut fuzzyflow_interp::Executor<'_>,
-        trans_exec: &mut fuzzyflow_interp::Executor<'_>,
+        orig_exec: &mut Executor<'_>,
+        trans_exec: &mut Executor<'_>,
     ) -> TrialOutcome {
-        let opts = ExecOptions {
-            max_steps: self.max_steps,
-            reset: self.reset,
-            oob_slop: self.oob_slop,
-            ..ExecOptions::default()
-        };
         let mut rng = Xoshiro256::seed_from(trial_seed(self.seed, trial as u64));
         let mut resamples = 0usize;
-
-        // Sample an input the ORIGINAL cutout accepts.
-        let mut sample: Option<ExecState> = None;
         for _ in 0..=self.max_resamples {
-            let Some(candidate) = sample_state(cutout, constraints, &self.profile, &mut rng) else {
+            let Some(sample) = sample_state(cutout, constraints, &self.profile, &mut rng) else {
                 resamples += 1;
                 continue;
             };
-            match orig_exec.execute(&candidate, &opts, None, None) {
-                Ok(()) => {
-                    sample = Some(candidate);
-                    break;
+            if self.run_original(&sample, orig_exec, None).is_err() {
+                // Uninteresting crash: both sides would fail.
+                resamples += 1;
+                continue;
+            }
+            let outcome = self.compare_transformed(cutout, &sample, orig_exec, trans_exec);
+            return if outcome.is_fault() {
+                TrialOutcome::Fault {
+                    outcome,
+                    sample,
+                    resamples,
                 }
-                Err(_) => {
-                    // Uninteresting crash: both sides would fail.
-                    resamples += 1;
-                }
-            }
-        }
-        let Some(sample) = sample else {
-            return TrialOutcome::NoSample { resamples };
-        };
-
-        // Run the transformed cutout on the exact same input.
-        match trans_exec.execute(&sample, &opts, None, None) {
-            Err(e) if e.is_hang() => {
-                return TrialOutcome::Hang {
-                    error: e.to_string(),
-                    case: TestCase::capture(&cutout.sdfg.name, &e.to_string(), &sample),
-                    resamples,
-                };
-            }
-            Err(e) if e.is_crash() => {
-                return TrialOutcome::Crash {
-                    error: e.to_string(),
-                    case: TestCase::capture(&cutout.sdfg.name, &e.to_string(), &sample),
-                    resamples,
-                };
-            }
-            Err(e) => {
-                return TrialOutcome::Invalid {
-                    error: e.to_string(),
-                    resamples,
-                };
-            }
-            Ok(()) => {}
-        }
-
-        // Compare symbol side effects (scalar program state read by the
-        // rest of the program).
-        for s in &cutout.symbol_state {
-            if orig_exec.symbol(s) != trans_exec.symbol(s) {
-                return TrialOutcome::SemanticChange {
-                    mismatch: format!(
-                        "symbol '{s}' differs: {:?} vs {:?}",
-                        orig_exec.symbol(s),
-                        trans_exec.symbol(s)
-                    ),
-                    case: TestCase::capture(
-                        &cutout.sdfg.name,
-                        &format!("symbol state change: '{s}'"),
-                        &sample,
-                    ),
-                    resamples,
-                };
-            }
-        }
-
-        // Compare system states.
-        if let Some(mismatch) =
-            orig_exec.compare_on(trans_exec, &cutout.system_state, self.tolerance)
-        {
-            return TrialOutcome::SemanticChange {
-                mismatch: mismatch.to_string(),
-                case: TestCase::capture(
-                    &cutout.sdfg.name,
-                    &format!("semantic change: {mismatch}"),
-                    &sample,
-                ),
-                resamples,
+            } else {
+                TrialOutcome::Passed { resamples }
             };
         }
-        TrialOutcome::Passed { resamples }
+        TrialOutcome::NoSample { resamples }
     }
 
     /// Replays one concrete input through a compiled cutout pair and
-    /// classifies the outcome — the single-case entry behind test-case
-    /// replay and triage bisection probes. Reuses the caller's compiled
-    /// [`Program`]s and parks its executor arenas back into `stash` (or
-    /// the per-worker cache), so a bisection running dozens of probes
-    /// compiles nothing and constructs no fresh arenas after the first.
-    ///
-    /// The comparison sequence is exactly [`DiffTester::test`]'s per-trial
-    /// one — transformed hang/crash/structural failure, then scalar
-    /// side-effect symbols, then system state under
-    /// [`DiffTester::tolerance`] — so a fault case captured by a trial
-    /// replays to the same class here.
+    /// classifies it with the differential oracle (see the module docs)
+    /// — the single-case entry behind test-case replay. Reuses the
+    /// caller's compiled [`Program`]s and parks its executor arenas back
+    /// into `stash` (or the per-worker cache), so repeated replays
+    /// compile nothing and construct no fresh arenas after the first.
     pub fn replay_case(
         &self,
         cutout: &Cutout,
@@ -640,71 +632,90 @@ impl DiffTester {
         state: &ExecState,
         stash: Option<&ArenaStash>,
     ) -> CaseOutcome {
-        let key = pair_key(orig_prog, trans_prog);
-        let (oa, ta) = match stash {
-            Some(stash) => stash
-                .take()
-                .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new())),
-            None => {
-                exec_arena_cache().checkout_or(key, || (ExecutorArena::new(), ExecutorArena::new()))
-            }
-        };
-        let mut orig_exec = orig_prog.executor_with(oa);
-        let mut trans_exec = trans_prog.executor_with(ta);
+        let (mut orig_exec, mut trans_exec) = checkout_executors(stash, orig_prog, trans_prog);
         let outcome = self.replay_on(cutout, state, &mut orig_exec, &mut trans_exec);
-        let pair = (orig_exec.into_arena(), trans_exec.into_arena());
-        match stash {
-            Some(stash) => stash.put(pair),
-            None => exec_arena_cache().store(key, pair),
-        }
+        park_executors(stash, orig_prog, trans_prog, (orig_exec, trans_exec));
         outcome
     }
 
     /// [`DiffTester::replay_case`] on executors the caller already holds
-    /// — the inner comparison sequence, arena-management-free.
+    /// (triage bisection probes): [`DiffTester::run_original`], then
+    /// [`DiffTester::compare_transformed`].
     pub fn replay_on(
         &self,
         cutout: &Cutout,
         state: &ExecState,
-        orig_exec: &mut fuzzyflow_interp::Executor<'_>,
-        trans_exec: &mut fuzzyflow_interp::Executor<'_>,
+        orig_exec: &mut Executor<'_>,
+        trans_exec: &mut Executor<'_>,
     ) -> CaseOutcome {
-        let opts = ExecOptions {
-            max_steps: self.max_steps,
-            reset: self.reset,
-            oob_slop: self.oob_slop,
-            ..ExecOptions::default()
-        };
-        if let Err(e) = orig_exec.execute(state, &opts, None, None) {
-            return CaseOutcome::OriginalFailed(e);
+        match self.run_original(state, orig_exec, None) {
+            Ok(()) => self.compare_transformed(cutout, state, orig_exec, trans_exec),
+            Err(e) => CaseOutcome::OriginalFailed(e),
         }
-        match trans_exec.execute(state, &opts, None, None) {
+    }
+
+    /// The oracle's first half: runs the original cutout on `state`,
+    /// recording edge coverage into `cov` when given. An error means the
+    /// input says nothing about the transformation.
+    pub fn run_original(
+        &self,
+        state: &ExecState,
+        orig_exec: &mut Executor<'_>,
+        cov: Option<&mut CoverageMap>,
+    ) -> Result<(), ExecError> {
+        orig_exec.execute(state, &self.exec_options(), None, cov)
+    }
+
+    /// The oracle's second half, after [`DiffTester::run_original`]
+    /// accepted `state`: runs the transformed cutout on the same input
+    /// and compares — a hang, crash or structural failure of the
+    /// transformed side first, then the symbols of
+    /// [`Cutout::symbol_state`], then the system state under
+    /// [`DiffTester::tolerance`]. Returns [`CaseOutcome::Pass`] or a
+    /// fault.
+    pub fn compare_transformed(
+        &self,
+        cutout: &Cutout,
+        state: &ExecState,
+        orig_exec: &Executor<'_>,
+        trans_exec: &mut Executor<'_>,
+    ) -> CaseOutcome {
+        match trans_exec.execute(state, &self.exec_options(), None, None) {
             Err(e) if e.is_hang() => return CaseOutcome::Hang(e),
             Err(e) if e.is_crash() => return CaseOutcome::Crash(e),
             Err(e) => return CaseOutcome::Invalid(e),
             Ok(()) => {}
         }
         for s in &cutout.symbol_state {
-            if orig_exec.symbol(s) != trans_exec.symbol(s) {
+            let (original, transformed) = (orig_exec.symbol(s), trans_exec.symbol(s));
+            if original != transformed {
                 return CaseOutcome::SymbolChange {
                     symbol: s.clone(),
-                    original: orig_exec.symbol(s),
-                    transformed: trans_exec.symbol(s),
+                    original,
+                    transformed,
                 };
             }
         }
-        if let Some(mismatch) =
-            orig_exec.compare_on(trans_exec, &cutout.system_state, self.tolerance)
-        {
-            return CaseOutcome::SemanticChange(mismatch);
+        match orig_exec.compare_on(trans_exec, &cutout.system_state, self.tolerance) {
+            Some(mismatch) => CaseOutcome::SemanticChange(mismatch),
+            None => CaseOutcome::Pass,
         }
-        CaseOutcome::Pass
+    }
+
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            max_steps: self.max_steps,
+            reset: self.reset,
+            oob_slop: self.oob_slop,
+            ..ExecOptions::default()
+        }
     }
 
     /// Scans trial outcomes in order and reproduces the sequential
     /// tester's report: the first terminal trial decides the verdict, and
-    /// resample counts accumulate over all trials up to it.
-    fn finalize(&self, mut outcomes: Vec<Option<TrialOutcome>>) -> DiffReport {
+    /// resample counts accumulate over all trials up to it. Only that
+    /// trial's fault is rendered into a test case.
+    fn finalize(&self, cutout: &str, mut outcomes: Vec<Option<TrialOutcome>>) -> DiffReport {
         let mut resamples = 0usize;
         for trial in 1..=self.trials {
             let outcome = outcomes[trial - 1]
@@ -726,39 +737,13 @@ impl DiffTester {
                         trials_to_detection: None,
                     };
                 }
-                TrialOutcome::Hang { error, case, .. } => {
+                TrialOutcome::Fault {
+                    outcome, sample, ..
+                } => {
                     return DiffReport {
-                        verdict: Verdict::Hang { trial, error, case },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
-                TrialOutcome::Crash { error, case, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::Crash { trial, error, case },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
-                TrialOutcome::Invalid { error, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::InvalidCode {
-                            errors: vec![error],
-                        },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
-                TrialOutcome::SemanticChange { mismatch, case, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::SemanticChange {
-                            trial,
-                            mismatch,
-                            case,
-                        },
+                        verdict: outcome
+                            .verdict(trial, cutout, &sample)
+                            .expect("trial faults render to verdicts"),
                         trials_run: trial,
                         resamples,
                         trials_to_detection: Some(trial),
@@ -1181,6 +1166,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The verdict and test-case message every driver renders a fault
+    /// with, pinned per fault arm to the strings reports carry.
+    fn projected(outcome: CaseOutcome) -> Verdict {
+        let mut input = ExecState::new();
+        input.bind("N", 5);
+        let verdict = outcome.verdict(7, "prog_cutout", &input).expect("a fault");
+        if let Verdict::Hang { case, .. }
+        | Verdict::Crash { case, .. }
+        | Verdict::SemanticChange { case, .. } = &verdict
+        {
+            assert_eq!(case.program, "prog_cutout");
+            assert_eq!(case.state, input);
+            assert_eq!(case.failure, outcome.failure_text());
+        }
+        verdict
+    }
+
+    #[test]
+    fn projection_pins_hang_reports() {
+        let e = ExecError::StepLimitExceeded { limit: 100 };
+        let Verdict::Hang { trial, error, case } = projected(CaseOutcome::Hang(e)) else {
+            panic!("expected a hang");
+        };
+        assert_eq!(trial, 7);
+        assert_eq!(error, "step limit exceeded (100 steps) — treating as hang");
+        assert_eq!(case.failure, error);
+    }
+
+    #[test]
+    fn projection_pins_crash_reports() {
+        let e = ExecError::OutOfBounds {
+            data: "B".into(),
+            point: vec![4],
+            shape: vec![4],
+        };
+        let Verdict::Crash { trial, error, case } = projected(CaseOutcome::Crash(e)) else {
+            panic!("expected a crash");
+        };
+        assert_eq!(trial, 7);
+        assert_eq!(
+            error,
+            "out-of-bounds access on 'B': index [4] outside shape [4]"
+        );
+        assert_eq!(case.failure, error);
+    }
+
+    #[test]
+    fn projection_pins_invalid_code_reports() {
+        let e = ExecError::Malformed("dangling edge".into());
+        let Verdict::InvalidCode { errors } = projected(CaseOutcome::Invalid(e)) else {
+            panic!("expected invalid code");
+        };
+        assert_eq!(errors, vec!["malformed program: dangling edge".to_string()]);
+    }
+
+    #[test]
+    fn projection_pins_symbol_change_reports() {
+        let outcome = CaseOutcome::SymbolChange {
+            symbol: "k".into(),
+            original: Some(3),
+            transformed: None,
+        };
+        let Verdict::SemanticChange {
+            trial,
+            mismatch,
+            case,
+        } = projected(outcome)
+        else {
+            panic!("expected a semantic change");
+        };
+        assert_eq!(trial, 7);
+        assert_eq!(mismatch, "symbol 'k' differs: Some(3) vs None");
+        assert_eq!(case.failure, "symbol state change: 'k'");
+    }
+
+    #[test]
+    fn projection_pins_semantic_change_reports() {
+        let m = fuzzyflow_interp::StateMismatch {
+            data: "s".into(),
+            index: 0,
+            lhs: "1.5".into(),
+            rhs: "2.5".into(),
+        };
+        let Verdict::SemanticChange {
+            trial,
+            mismatch,
+            case,
+        } = projected(CaseOutcome::SemanticChange(m))
+        else {
+            panic!("expected a semantic change");
+        };
+        assert_eq!(trial, 7);
+        assert_eq!(mismatch, "'s' differs at element 0: 1.5 vs 2.5");
+        assert_eq!(
+            case.failure,
+            "semantic change: 's' differs at element 0: 1.5 vs 2.5"
+        );
+    }
+
+    #[test]
+    fn projection_skips_non_faults() {
+        let input = ExecState::new();
+        assert!(CaseOutcome::Pass.verdict(1, "c", &input).is_none());
+        let e = ExecError::IntegerDivisionByZero;
+        assert!(CaseOutcome::OriginalFailed(e)
+            .verdict(1, "c", &input)
+            .is_none());
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub mod testcase;
 
 pub use constraints::{derive_constraints, Constraints, SymbolRole};
 pub use coverage_fuzz::{CoverageFuzzer, CoverageReport};
-pub use diff::{ArenaStash, CaseOutcome, DiffReport, DiffTester, Verdict};
+pub use diff::{
+    checkout_executors, park_executors, ArenaStash, CaseOutcome, DiffReport, DiffTester, Verdict,
+};
 pub use json::Json;
 pub use rng::Xoshiro256;
 pub use sampler::{sample_state, ValueProfile};

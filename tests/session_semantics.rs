@@ -6,6 +6,18 @@ use fuzzyflow::prelude::*;
 use fuzzyflow::session::{Campaign, CollectingSink, NullSink};
 use fuzzyflow::{sweep, SweepConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Every test in this file runs sessions, and the report's `caches`
+/// block counts process-wide compiles: a test compiling programs while
+/// another test's warm run is being measured would bleed into that
+/// run's tally. Each test holds this lock for its whole body.
+static SESSIONS: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; the others still run.
+    SESSIONS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn base_campaign() -> Campaign {
     Campaign::new("semantics")
@@ -43,6 +55,7 @@ fn reference_report() -> CampaignReport {
 /// an uncancelled run, for threads in {1, 2, 8}.
 #[test]
 fn cancellation_yields_a_deterministic_prefix() {
+    let _serial = serial();
     let full = reference_report();
     assert_eq!(full.completed(), INSTANCES);
     for threads in [1usize, 2, 8] {
@@ -84,6 +97,7 @@ fn cancellation_yields_a_deterministic_prefix() {
 /// instances run, byte-identically, for every thread count.
 #[test]
 fn instance_budget_is_an_exact_prefix() {
+    let _serial = serial();
     let full = reference_report();
     for threads in [1usize, 2, 8] {
         for k in [0usize, 1, 4, INSTANCES, INSTANCES + 3] {
@@ -114,6 +128,7 @@ fn instance_budget_is_an_exact_prefix() {
 /// completed set is always an index-ordered prefix of the full run.
 #[test]
 fn trial_budget_stops_with_a_deterministic_prefix() {
+    let _serial = serial();
     let full = reference_report();
     // Sequentially: two 15-trial instances exhaust a budget of 30.
     let session = base_campaign()
@@ -146,6 +161,7 @@ fn trial_budget_stops_with_a_deterministic_prefix() {
 /// byte-identical and performs zero fresh pipeline preparations.
 #[test]
 fn warm_rerun_is_byte_identical_and_prepares_nothing() {
+    let _serial = serial();
     let session = base_campaign().with_threads(2).session();
     assert_eq!(session.instance_count(), INSTANCES);
     assert_eq!(session.prepared_instances(), 0);
@@ -187,6 +203,7 @@ fn warm_rerun_is_byte_identical_and_prepares_nothing() {
 /// every call still returns the byte-identical report.
 #[test]
 fn concurrent_runs_serialize_and_stay_warm() {
+    let _serial = serial();
     let session = std::sync::Arc::new(base_campaign().with_threads(2).session());
     let cold = format!("{:?}", sans_caches(&session.run(&NullSink)));
     let handles: Vec<_> = (0..4)
@@ -214,6 +231,7 @@ fn concurrent_runs_serialize_and_stay_warm() {
 /// byte-identical to `sweep` and to per-instance `verify_instance` calls.
 #[test]
 fn campaign_sweep_and_verify_instance_agree() {
+    let _serial = serial();
     let workloads = vec![(
         "matmul_chain".to_string(),
         fuzzyflow::workloads::matmul_chain(),
@@ -281,6 +299,7 @@ fn campaign_sweep_and_verify_instance_agree() {
 /// and trial progress are reported.
 #[test]
 fn event_stream_has_the_documented_shape() {
+    let _serial = serial();
     let session = base_campaign().with_threads(2).session();
     let sink = CollectingSink::new();
     let report = session.run(&sink);
@@ -345,6 +364,7 @@ fn event_stream_has_the_documented_shape() {
 /// The JSON report round-trips losslessly and canonically.
 #[test]
 fn campaign_report_json_round_trips() {
+    let _serial = serial();
     let report = base_campaign().with_threads(2).session().run(&NullSink);
     assert!(report.fault_count() >= 3);
     let json = report.to_json();
@@ -368,6 +388,7 @@ fn campaign_report_json_round_trips() {
 /// and the divergence matches the recorded one.
 #[test]
 fn replayed_fault_from_serialized_report_reproduces_the_verdict() {
+    let _serial = serial();
     let verify = VerifyConfig::new().with_trials(50).with_size_max(8);
     let session = Campaign::new("replay")
         .with_workload(
@@ -443,6 +464,7 @@ fn replayed_fault_from_serialized_report_reproduces_the_verdict() {
 /// live cache/jit tallies with zero native recompilation.
 #[test]
 fn vectorized_minmax_campaign_runs_packed_native() {
+    let _serial = serial();
     let session = Campaign::new("packed_minmax")
         .with_workload(
             "cloudsc_like",
